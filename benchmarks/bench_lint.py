@@ -1,7 +1,7 @@
 """Benchmark the full static-analysis pass and its summary cache.
 
 ``repro lint`` gates every CI run and the pre-commit loop, so it must
-stay interactive: the complete pass -- all nine checkers over the whole
+stay interactive: the complete pass -- every checker over the whole
 ``src/repro`` tree, the live-registry introspection, *and* the
 interprocedural call-graph build -- is pinned under :data:`BUDGET_S`
 seconds.  The budget is generous (a warm run is well under a second)

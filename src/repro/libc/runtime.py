@@ -34,6 +34,7 @@ from repro.libc.stdio_funcs import (
 )
 from repro.libc.string_funcs import StringMixin
 from repro.libc.time_funcs import TimeMixin
+from repro.sim.filesystem import OpenFile
 from repro.sim.guarded import crt_read, crt_write
 from repro.sim.memory import USER_LIMIT, Protection, Region
 
@@ -97,10 +98,15 @@ class CRuntime(
         faults = mem.faults
         base = mem._cursor
         stdin_file = process.fds.get(0)
+        # Console input primes the file on fd 0.  fd 0 can also hold a
+        # pipe end, which has no file to prime.
+        prime_stdin = (
+            isinstance(stdin_file, OpenFile) and not stdin_file.node.data
+        )
         if (faults is None or not faults.active) and base + _CRT_SPAN <= USER_LIMIT:
             ctype = Region(base, 384, Protection.READ, "ctype-table")
             self._ctype_region = ctype
-            if stdin_file is not None and not stdin_file.node.data:
+            if prime_stdin:
                 stdin_file.node.data.extend(CONSOLE_INPUT)
             regions = [ctype]
             streams = self._streams
@@ -135,7 +141,7 @@ class CRuntime(
             self._ctype_region = mem.map(
                 384, Protection.READ, tag="ctype-table"
             )
-            if stdin_file is not None and not stdin_file.node.data:
+            if prime_stdin:
                 stdin_file.node.data.extend(CONSOLE_INPUT)
             self.stdin = self._register_stream(
                 stdin_file, readable=True, writable=False

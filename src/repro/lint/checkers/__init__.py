@@ -13,6 +13,7 @@ from repro.lint.checkers import (  # noqa: F401  (registration side effects)
     det_propagation,
     determinism,
     exceptions,
+    fs_index,
     isolation,
     pickle_safety,
     registry_contract,

@@ -85,8 +85,7 @@ class FsCallsMixin:
             parent, name = self.machine.fs._parent_of(new)
         except FileSystemError as exc:
             return self._fs_err(exc)
-        parent.entries[name] = node
-        parent._lower = None
+        parent.link(name, node)
         node.nlink += 1
         return 0
 

@@ -76,6 +76,19 @@ class FileNode(Node):
 
 
 class DirectoryNode(Node):
+    """A directory: ``entries`` maps each name to its node, in insertion
+    order.
+
+    :meth:`link` and :meth:`unlink` are the only writers of ``entries``
+    (the ``fs-index`` lint rule rejects any other write outside this
+    module), so the case-fold index ``_lower`` -- ``lowered name -> keys
+    of entries in insertion order`` -- is always current.  A
+    case-insensitive lookup resolves to the first key of its list: the
+    first match in insertion order wins, even when two names in one
+    directory fold to the same string (``rename`` onto a differently
+    cased name can create that).
+    """
+
     __slots__ = ("entries", "_lower")
 
     is_directory = True
@@ -84,39 +97,46 @@ class DirectoryNode(Node):
         super().__init__(name, now)
         self.mode = 0o755
         self.entries: dict[str, Node] = {}
-        #: Lazily built ``lowered name -> node`` index for
-        #: case-insensitive lookups (first match in insertion order wins,
-        #: exactly like the linear scan it replaces).  Every mutation of
-        #: ``entries`` -- here or by the filesystem operations that
-        #: insert directly -- must reset it to ``None``.
-        self._lower: dict[str, Node] | None = None
+        self._lower: dict[str, list[str]] = {}
+
+    def link(self, name: str, node: Node) -> None:
+        """Bind ``name`` to ``node``; an existing ``name`` keeps its
+        insertion position, like a dict assignment."""
+        if name not in self.entries:
+            folded = name.lower()
+            keys = self._lower.get(folded)
+            if keys is None:
+                self._lower[folded] = [name]
+            else:
+                keys.append(name)
+        self.entries[name] = node
+
+    def unlink(self, name: str) -> None:
+        """Drop the exact entry ``name``; KeyError when absent."""
+        del self.entries[name]
+        folded = name.lower()
+        keys = self._lower[folded]
+        if len(keys) == 1:
+            del self._lower[folded]
+        else:
+            keys.remove(name)
 
     def lookup(self, name: str, case_insensitive: bool) -> Node | None:
-        if name in self.entries:
-            return self.entries[name]
-        if case_insensitive:
-            lower = self._lower
-            if lower is None:
-                lower = {}
-                for key, node in self.entries.items():
-                    lower.setdefault(key.lower(), node)
-                self._lower = lower
-            return lower.get(name.lower())
-        return None
+        node = self.entries.get(name)
+        if node is None and case_insensitive:
+            keys = self._lower.get(name.lower())
+            if keys is not None:
+                return self.entries[keys[0]]
+        return node
 
     def remove(self, name: str, case_insensitive: bool) -> None:
-        if name in self.entries:
-            del self.entries[name]
-            self._lower = None
-            return
-        if case_insensitive:
-            lowered = name.lower()
-            for key in list(self.entries):
-                if key.lower() == lowered:
-                    del self.entries[key]
-                    self._lower = None
-                    return
-        raise KeyError(name)
+        """Drop the entry :meth:`lookup` would resolve ``name`` to;
+        KeyError when there is none."""
+        if case_insensitive and name not in self.entries:
+            keys = self._lower.get(name.lower())
+            if keys is not None:
+                name = keys[0]
+        self.unlink(name)
 
 
 class OpenFile:
@@ -287,7 +307,9 @@ class FileSystem:
                     name: copy_node(child)
                     for name, child in node.entries.items()
                 }
-                dup._lower = None
+                dup._lower = {
+                    folded: keys[:] for folded, keys in node._lower.items()
+                }
             else:
                 assert isinstance(node, FileNode)
                 cached = seen.get(id(node))
@@ -397,8 +419,7 @@ class FileSystem:
         if self.faults is not None and self.faults.trip("disk"):
             raise FileSystemError("ENOSPC", path)
         node = FileNode(name, self._now(), data)
-        parent.entries[name] = node
-        parent._lower = None
+        parent.link(name, node)
         self._file_count += 1
         return node
 
@@ -447,8 +468,7 @@ class FileSystem:
         if parent.lookup(name, self.case_insensitive) is not None:
             raise FileSystemError("EEXIST", path)
         node = DirectoryNode(name, self._now())
-        parent.entries[name] = node
-        parent._lower = None
+        parent.link(name, node)
         return node
 
     def rmdir(self, path: str) -> None:
@@ -485,8 +505,7 @@ class FileSystem:
         old_parent, old_name = self._parent_of(old)
         old_parent.remove(old_name, self.case_insensitive)
         node.name = new_name
-        new_parent.entries[new_name] = node
-        new_parent._lower = None
+        new_parent.link(new_name, node)
 
     def listdir(self, path: str) -> list[str]:
         node = self.lookup(path)

@@ -256,14 +256,44 @@ class Machine:
         return {"nodes": nodes, "file_count": self.fs._file_count}
 
     def _restore_fs(self, image: dict) -> None:
-        """Rebuild ``self.fs`` from a :meth:`_fs_wear` image."""
+        """Rebuild ``self.fs`` from a :meth:`_fs_wear` image.
+
+        Entries are linked under their exact recorded names, so names
+        that fold to one string in a case-insensitive directory (a
+        ``rename`` onto a differently cased name leaves both) come back
+        as the same distinct entries, in the same order.
+        """
         fs = FileSystem(
             case_insensitive=self.personality.case_insensitive_fs,
             now=self.clock.tick_count,
         )
+        directories: dict[str, DirectoryNode] = {"": fs.root}
         by_index: dict[int, FileNode] = {}
 
-        def apply(node: Node, entry: dict) -> None:
+        for index, entry in enumerate(image["nodes"]):
+            path = entry["path"]
+            node: Node
+            if not path:
+                node = fs.root
+            else:
+                parent_path, _, name = path.rpartition("/")
+                parent = directories[parent_path]
+                if entry["type"] == "link":
+                    parent.link(name, by_index[int(entry["node"])])
+                    continue
+                if entry["type"] == "dir":
+                    node = directories[path] = DirectoryNode(name, 0)
+                else:
+                    file_node = FileNode(
+                        name, 0, base64.b64decode(entry["data"])
+                    )
+                    file_node.nlink = int(entry.get("nlink", 1))
+                    if "symlink_target" in entry:
+                        file_node.symlink_target = entry[  # type: ignore[attr-defined]
+                            "symlink_target"
+                        ]
+                    by_index[index] = node = file_node
+                parent.link(name, node)
             node.created_at = int(entry["created_at"])
             node.modified_at = int(entry["modified_at"])
             node.accessed_at = int(entry["accessed_at"])
@@ -271,31 +301,9 @@ class Machine:
             node.hidden = bool(entry["hidden"])
             node.protected = bool(entry["protected"])
             node.mode = int(entry["mode"])
-
-        for index, entry in enumerate(image["nodes"]):
-            path = entry["path"]
-            if entry["type"] == "dir":
-                node: Node = fs.root if not path else fs.mkdir(path)
-            elif entry["type"] == "link":
-                parent, name = fs._parent_of(path)
-                parent.entries[name] = by_index[int(entry["node"])]
-                parent._lower = None
-                continue
-            else:
-                file_node = fs.create_file(
-                    path, base64.b64decode(entry["data"])
-                )
-                file_node.nlink = int(entry.get("nlink", 1))
-                if "symlink_target" in entry:
-                    file_node.symlink_target = entry[  # type: ignore[attr-defined]
-                        "symlink_target"
-                    ]
-                by_index[index] = file_node
-                node = file_node
-            apply(node, entry)
         # The live count can sit below the number of reachable files
         # (unlinking one name of a hard link decrements it), so restore
-        # the recorded value rather than what the replay accumulated.
+        # the recorded value.
         fs.max_files = self.fs_max_files
         fs._file_count = int(image["file_count"])
         fs.faults = self.faults

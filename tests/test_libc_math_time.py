@@ -167,6 +167,17 @@ class TestTimeFunctions:
         now = crt.time(out)
         assert ctx.mem.read_u32(out) == now
 
+    def test_glibc_time_wraps_past_32_bits(self, glibc):
+        # sleep(INT_MIN) can push the virtual clock past 2**32 s; the
+        # syscall store truncates like a 32-bit time_t, as the user-mode
+        # store already does.
+        ctx, crt = glibc
+        ctx.machine.clock.ticks += (1 << 33) * 1000
+        out = ctx.buffer(8)
+        now = crt.time(out)
+        assert now >= 1 << 32
+        assert ctx.mem.read_u32(out) == now & 0xFFFF_FFFF
+
     def test_glibc_time_bad_pointer_is_efault(self, glibc):
         ctx, crt = glibc
         assert crt.time(0xDEAD_0000) == 0xFFFF_FFFF

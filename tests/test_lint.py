@@ -342,6 +342,45 @@ class TestSimIsolation:
         assert findings_for(Project(root=tmp_path), "sim-isolation") == []
 
 
+class TestFsIndex:
+    WRITES = """
+        def vandalise(parent, name, node):
+            parent.entries[name] = node
+            del parent.entries[name]
+            parent.entries[name], other = node, None
+            parent.entries.pop(name)
+            parent.entries.update({name: node})
+            parent.entries.setdefault(name, node)
+            parent.entries.clear()
+        """
+
+    def test_clean_on_real_tree(self):
+        assert findings_for(Project(), "fs-index") == []
+
+    def test_raw_entry_writes_flagged(self, tmp_path):
+        write_module(tmp_path, "repro/posix/x.py", self.WRITES)
+        found = findings_for(Project(root=tmp_path), "fs-index")
+        assert codes(found) == {"FS-ENTRIES-WRITE"}
+        assert sorted(f.line for f in found) == [3, 4, 5, 6, 7, 8, 9]
+
+    def test_reads_and_writers_are_fine(self, tmp_path):
+        write_module(
+            tmp_path,
+            "repro/sim/machine.py",
+            """
+            def relink(parent, name, node):
+                for key, child in parent.entries.items():
+                    parent.unlink(key)
+                parent.link(name, parent.entries.get(name, node))
+            """,
+        )
+        assert findings_for(Project(root=tmp_path), "fs-index") == []
+
+    def test_filesystem_module_owns_entries(self, tmp_path):
+        write_module(tmp_path, "repro/sim/filesystem.py", self.WRITES)
+        assert findings_for(Project(root=tmp_path), "fs-index") == []
+
+
 # ----------------------------------------------------------------------
 # Checker 4: serialization versioning
 # ----------------------------------------------------------------------

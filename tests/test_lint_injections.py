@@ -1,5 +1,5 @@
 """The acceptance drill for ``repro lint``: inject one violation of each
-rule -- the five per-file rules and the four interprocedural ones -- into
+rule -- the six per-file rules and the four interprocedural ones -- into
 a copy of the tree and prove ``repro lint --fail-on-new`` catches every
 one.
 
@@ -308,6 +308,21 @@ def test_out_of_band_wear_mutation_is_caught(doctored_src):
     assert_caught(proc, "wear-escape", "WEAR-ESCAPE")
     assert "machine.clock.ticks" in proc.stdout
     assert "repro/core/sequences.py" in proc.stdout
+
+
+def test_raw_directory_entry_write_is_caught(doctored_src):
+    """A raw write to DirectoryNode.entries bypasses link/unlink and
+    leaves the case-fold index stale; only the filesystem module may
+    write entries directly."""
+    edit(
+        doctored_src,
+        "posix/fs_calls.py",
+        "        parent.link(name, node)\n        node.nlink += 1",
+        "        parent.entries[name] = node\n        node.nlink += 1",
+    )
+    proc = run_lint(doctored_src)
+    assert_caught(proc, "fs-index", "FS-ENTRIES-WRITE")
+    assert "repro/posix/fs_calls.py" in proc.stdout
 
 
 def test_machine_import_in_pool_layer_is_caught(doctored_src):

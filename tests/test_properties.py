@@ -3,7 +3,7 @@ invariants."""
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.generator import CaseGenerator
@@ -11,8 +11,15 @@ from repro.core.mut import MuT
 from repro.core.types import TypeRegistry
 from repro.service.xdr import XdrDecoder, XdrEncoder
 from repro.sim.errors import AccessViolation
-from repro.sim.filesystem import FileSystem
+from repro.sim.filesystem import (
+    DirectoryNode,
+    FileNode,
+    FileSystem,
+    FileSystemError,
+)
+from repro.sim.machine import Machine
 from repro.sim.memory import AddressSpace
+from repro.sim.personality import Personality
 
 # ----------------------------------------------------------------------
 # XDR
@@ -160,6 +167,168 @@ def test_case_insensitive_fs_finds_any_casing(name):
     fs.create_file(f"/{name}", b"x")
     assert fs.lookup(f"/{name.upper()}") is not None
     assert fs.lookup(f"/{name.lower()}") is not None
+
+
+# ----------------------------------------------------------------------
+# Case-fold directory index
+# ----------------------------------------------------------------------
+
+
+def reference_key(directory, name, case_insensitive):
+    """The linear first-match scan the maintained index replaced: the
+    exact name wins, then the first key in insertion order that folds
+    to the same string."""
+    if name in directory.entries:
+        return name
+    if case_insensitive:
+        lowered = name.lower()
+        for key in directory.entries:
+            if key.lower() == lowered:
+                return key
+    return None
+
+
+def rebuilt_index(directory):
+    index = {}
+    for key in directory.entries:
+        index.setdefault(key.lower(), []).append(key)
+    return index
+
+
+def directories(node):
+    yield node
+    for child in node.entries.values():
+        if isinstance(child, DirectoryNode):
+            yield from directories(child)
+
+
+#: Names the operations use: case collisions within a two-name alphabet.
+_FOLD_NAMES = ["a", "A", "ab", "AB"]
+#: Names the checks look up: every casing, so ``aB`` and ``Ab`` always
+#: take the case-fold path.
+_LOOKUP_NAMES = ["a", "A", "ab", "AB", "aB", "Ab"]
+_fold_paths = st.one_of(
+    st.sampled_from(["/tmp/" + name for name in _FOLD_NAMES]),
+    st.sampled_from(["/tmp/a/" + name for name in _FOLD_NAMES]),
+)
+_fs_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "create",
+                "create",
+                "unlink",
+                "mkdir",
+                "rmdir",
+                "remove",
+                "rename",
+                "rename",
+                "link",
+                "link",
+                "clone",
+                "wear",
+            ]
+        ),
+        _fold_paths,
+        _fold_paths,
+    ),
+    max_size=30,
+)
+
+
+def _apply_fs_op(machine, op, case_insensitive, snapshots):
+    kind, path, target = op
+    if kind == "clone":
+        snapshots.append(machine.fs)  # must stay intact from here on
+        machine.fs = machine.fs.clone()
+        return
+    if kind == "wear":
+        image = machine._fs_wear()
+        machine._restore_fs(image)
+        assert machine._fs_wear() == image
+        return
+    fs = machine.fs
+    try:
+        parent, name = fs._parent_of(target if kind == "link" else path)
+    except FileSystemError:
+        return
+    expected = reference_key(parent, name, case_insensitive)
+    before = list(parent.entries)
+    try:
+        if kind == "create":
+            fs.create_file(path, b"x")
+        elif kind == "mkdir":
+            fs.mkdir(path)
+        elif kind == "rename":
+            fs.rename(path, target)
+        elif kind == "link":
+            node = fs.lookup(path)
+            if isinstance(node, FileNode):
+                parent.link(name, node)  # a raw hard link
+        elif kind == "remove":
+            try:
+                parent.remove(name, case_insensitive)
+            except KeyError:
+                assert expected is None
+            else:
+                assert list(parent.entries) == [
+                    key for key in before if key != expected
+                ]
+        else:
+            getattr(fs, kind)(path)  # unlink / rmdir
+            assert list(parent.entries) == [
+                key for key in before if key != expected
+            ]
+    except FileSystemError:
+        assert list(parent.entries) == before
+
+
+#: Three names in one fold group ("ab"), built through a raw hard link
+#: and a rename onto a differently cased name, then carried through
+#: clone and wear and taken apart again.
+_FOLD_COLLISIONS = [
+    ("create", "/tmp/ab", "/tmp/ab"),
+    ("link", "/tmp/ab", "/tmp/AB"),
+    ("create", "/tmp/a", "/tmp/a"),
+    ("rename", "/tmp/a", "/tmp/Ab"),
+    ("clone", "/tmp/a", "/tmp/a"),
+    ("wear", "/tmp/a", "/tmp/a"),
+    ("remove", "/tmp/aB", "/tmp/aB"),
+    ("link", "/tmp/AB", "/tmp/AB"),
+    ("unlink", "/tmp/aB", "/tmp/aB"),
+    ("clone", "/tmp/a", "/tmp/a"),
+    ("rename", "/tmp/Ab", "/tmp/ab"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), _fs_ops)
+@example(True, _FOLD_COLLISIONS)
+@example(False, _FOLD_COLLISIONS)
+def test_case_fold_index_matches_linear_scan(case_insensitive, ops):
+    machine = Machine(
+        Personality(
+            key="testos",
+            name="Test OS",
+            api="win32",
+            family="nt",
+            crt_flavor="msvcrt",
+            case_insensitive_fs=case_insensitive,
+        )
+    )
+    snapshots = []
+    for op in ops:
+        _apply_fs_op(machine, op, case_insensitive, snapshots)
+        for fs in [machine.fs, *snapshots]:
+            for directory in directories(fs.root):
+                assert directory._lower == rebuilt_index(directory)
+                for name in _LOOKUP_NAMES:
+                    key = reference_key(directory, name, case_insensitive)
+                    found = directory.lookup(name, case_insensitive)
+                    if key is None:
+                        assert found is None
+                    else:
+                        assert found is directory.entries[key]
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.obs import (
     strip_wall,
     variant_stream,
 )
+from repro.posix.linux import LINUX
 from repro.sim.faults import FAULT_FAMILIES
 from repro.sim.machine import Machine
 from repro.triage import (
@@ -730,3 +731,26 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["--resume", str(ckpt), "--mode", "sequence"])
         assert err.value.code == 2
+
+
+class TestLinuxSequenceRegressions:
+    """Linux sequence jobs (cap 300, 300 sequences) that used to abort
+    the whole campaign with a Python exception."""
+
+    @pytest.mark.parametrize(
+        "sequence_seed",
+        [
+            # sleep(INT_MIN) pushed the clock past 2**32 s, then time()
+            # raised OverflowError storing it through the syscall path.
+            1752033193,
+            # A pipe end on fd 0 made CRuntime.__init__ raise
+            # AttributeError priming console input.
+            4008734698,
+        ],
+    )
+    def test_job_runs_to_completion(self, sequence_seed):
+        config = CampaignConfig(
+            cap=300, mode="sequence", sequences=300, sequence_seed=sequence_seed
+        )
+        results = Campaign([LINUX], config=config).run()
+        assert len(results.for_variant("linux")) == 300

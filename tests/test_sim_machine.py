@@ -122,7 +122,7 @@ class TestWearState:
         node.hidden = True
         node.mode = 0o600
         parent, name = fs._parent_of("/tmp/deep/b.dat")
-        parent.entries[name] = node  # hard link: two names, one node
+        parent.link(name, node)  # hard link: two names, one node
         node.nlink = 2
         sym = fs.create_file("/tmp/sym", b"")
         sym.symlink_target = "/tmp/deep/a.dat"
